@@ -10,9 +10,11 @@ Subcommands expose the library and emit machine-readable output:
 * ``sample``    -- reproducible uniform composition samples
 
 Exit codes are part of the interface: 0 ok, 1 reference-check failure,
-2 usage error, 3 enumeration guard exceeded.  Exact counts print as full
-decimal strings; csv/json floats print as shortest round-trip strings,
-and the table format rounds to the requested significant digits.
+2 usage error (also a bad RECTCOMP_ENUM_GUARD or an unwritable --output),
+3 enumeration guard exceeded; a closed stdout (``| head``) exits 0.
+Exact counts print as full decimal strings; csv/json floats print as
+shortest round-trip strings, and the table format rounds to the
+requested significant digits.
 """
 from __future__ import annotations
 
@@ -33,6 +35,7 @@ from .compositions import (
     enumerate_compositions,
 )
 from .distributions import (
+    NormalRef,
     RectSpec,
     error_decomposition,
     normal_distance,
@@ -220,7 +223,13 @@ class _Emitter:
 def _with_stream(spec: OutputSpec, fn) -> int:
     if spec.destination is None:
         return fn(_Emitter(spec, sys.stdout))
-    with open(spec.destination, "w", encoding="utf-8", newline="") as handle:
+    try:
+        handle = open(spec.destination, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        print(f"rectcomp: error: cannot write {spec.destination}: {exc.strerror}",
+              file=sys.stderr)
+        return EXIT_USAGE
+    with handle:
         return fn(_Emitter(spec, handle))
 
 
@@ -260,7 +269,6 @@ def _cmd_count(args, parser) -> int:
     if (args.support is None) == (args.b is None):
         parser.error("provide either --a/--b or --support")
 
-    guard = int(os.environ.get(GUARD_ENV_VAR, DEFAULT_ENUM_GUARD))
     if args.support is not None:
         support = _parse_support(args.support, parser)
         result = count_support(args.n, args.k, support)
@@ -277,6 +285,13 @@ def _cmd_count(args, parser) -> int:
         enum_kwargs = {"bounds": bounds}
 
     if args.verify:
+        raw = os.environ.get(GUARD_ENV_VAR, str(DEFAULT_ENUM_GUARD))
+        try:
+            guard = int(raw)
+        except ValueError:
+            guard = 0
+        if guard < 1:
+            parser.error(f"{GUARD_ENV_VAR} must be a positive integer, got {raw!r}")
         try:
             listed = sum(1 for _ in enumerate_compositions(
                 args.n, args.k, guard=guard, **enum_kwargs))
@@ -311,14 +326,12 @@ def _cmd_dist(args, parser) -> int:
 
     px = pmf_X(spec)
     ps = pmf_S(spec)
-    report = normal_distance(spec)
+    normal = NormalRef.for_spec(spec)
 
     def run(emitter: _Emitter) -> int:
-        rows = []
-        for n in range(px.offset, spec.m * spec.b + 1):
-            rows.append((n, px.float_prob(n), ps.float_prob(n),
-                         report.normal.cell_mass(n)))
-        emitter.emit(("n", "pmf_x", "pmf_s", "normal"), rows)
+        emitter.emit(("n", "pmf_x", "pmf_s", "normal"),
+                     [(n, px.float_prob(n), ps.float_prob(n), normal.cell_mass(n))
+                      for n in range(px.offset, spec.m * spec.b + 1)])
         return EXIT_OK
 
     return _with_stream(out, run)
@@ -487,7 +500,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.handler(args, parser)
+    try:
+        status = args.handler(args, parser)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (`| head`), which is not an error.
+        # Point stdout at devnull so the interpreter's final flush is quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
+    return status
 
 
 if __name__ == "__main__":

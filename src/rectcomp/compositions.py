@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .polycoeff import iter_raw_rows, poly_coeff
+from .polycoeff import poly_coeff, row_sums
 
 Composition = tuple[int, ...]
 
@@ -166,14 +166,6 @@ def h_sequence(l: int, m: int) -> tuple[int, ...]:
     ((l+1)**(m+1) - (l+1)) / l for l >= 1, and m for l = 0.
     The sequence is unimodal.
     """
-    if l < 0:
-        raise ValueError(f"part-range width l must be >= 0, got {l}")
     if m < 1:
         raise ValueError(f"max parts m must be >= 1, got {m}")
-    acc = [0] * (l * m + 1)
-    for j, row in enumerate(iter_raw_rows(l, m)):
-        if j == 0:
-            continue
-        for i, c in enumerate(row):
-            acc[i] += c
-    return tuple(acc)
+    return tuple(row_sums(l, m))

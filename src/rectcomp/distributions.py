@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .compositions import Composition
-from .polycoeff import iter_raw_rows, triangle_row
+from .polycoeff import _next_row, row_sums, triangle_row
 from .rng import SplitMix64
 
 
@@ -180,25 +180,6 @@ def pmf_S(spec: RectSpec) -> ExactPmf:
                     total=(spec.width + 1) ** spec.m)
 
 
-def _x_weights(spec: RectSpec) -> tuple[int, list[int], int]:
-    """Offset, weights, and total of pmf_X, as raw integers."""
-    r = spec.width + 1
-    offset = spec.a
-    size = spec.m * spec.b - offset + 1
-    acc = [0] * size
-    for j, row in enumerate(iter_raw_rows(spec.width, spec.m)):
-        if j == 0:
-            continue
-        shift = j * spec.a - offset
-        for i, c in enumerate(row):
-            acc[shift + i] += c
-    if r == 1:
-        total = spec.m
-    else:
-        total = (r ** (spec.m + 1) - r) // (r - 1)
-    return offset, acc, total
-
-
 def pmf_X(spec: RectSpec) -> ExactPmf:
     """Distribution of the integer represented by a uniform composition.
 
@@ -208,8 +189,10 @@ def pmf_X(spec: RectSpec) -> ExactPmf:
     count, the geometric sum of (b-a+1)**j.  The empty composition is
     excluded.
     """
-    offset, acc, total = _x_weights(spec)
-    return ExactPmf(offset=offset, weights=tuple(acc), total=total)
+    r = spec.width + 1
+    total = spec.m if r == 1 else (r ** (spec.m + 1) - r) // (r - 1)
+    weights = row_sums(spec.width, spec.m, spec.a)
+    return ExactPmf(offset=spec.a, weights=tuple(weights), total=total)
 
 
 def gamma_leading(l: int) -> Fraction:
@@ -246,27 +229,20 @@ def error_decomposition(spec: RectSpec) -> ErrorReport:
     alpha = Fraction(l, (rm - 1) * r)
     gamma = alpha * rm
 
-    size = l * m + 1
-    head = [0] * size            # sum of rows 1..m-1
-    last: list[int] = [1]
-    for j, row in enumerate(iter_raw_rows(l, m)):
-        if 1 <= j <= m - 1:
-            for i, c in enumerate(row):
-                head[i] += c
-        last = row
-    x_weights = [h + c for h, c in zip(head, last + [0] * (size - len(last)))]
+    # head sums rows 1..m-1.  Rows 1..m are P * (1 + head), one
+    # sliding-window step, and row m is what that step adds to head.
+    head = row_sums(l, m - 1)
+    x_weights = _next_row([head[0] + 1] + head[1:], l)
+    head += [0] * l
+    last = [wx - h for wx, h in zip(x_weights, head)]
 
     tx = (r ** (m + 1) - r) // l
-    ts = rm
     # e[n] = alpha * head[n]; floats via one correctly rounded division each.
     e_den = (rm - 1) * r
     e_values = tuple((l * h) / e_den for h in head)
     e_max = max(e_values)
-    diff_num = max(
-        abs(wx * ts - ws * tx)
-        for wx, ws in zip(x_weights, last + [0] * (size - len(last)))
-    )
-    max_abs_diff = diff_num / (tx * ts)
+    diff_num = max(abs(wx * rm - ws * tx) for wx, ws in zip(x_weights, last))
+    max_abs_diff = diff_num / (tx * rm)
     return ErrorReport(gamma=gamma, alpha=alpha, e_values=e_values,
                        e_max=e_max, max_abs_diff=max_abs_diff)
 
@@ -283,7 +259,6 @@ def normal_distance(spec: RectSpec) -> DistanceReport:
     if spec.b == spec.a:
         raise ValueError("normal comparison needs b > a (nonzero variance)")
     ref = NormalRef.for_spec(spec)
-    sigma = ref.sigma
     px = pmf_X(spec)
 
     ks = ref.cdf(px.offset - 0.5)
@@ -304,6 +279,19 @@ def normal_distance(spec: RectSpec) -> DistanceReport:
     )
 
 
+def _stirling_log_estimate(l: int, m: int) -> float:
+    if l < 1:
+        raise ValueError(f"width l must be >= 1 (zero variance at l=0), got {l}")
+    if m < 1:
+        raise ValueError(f"max parts m must be >= 1, got {m}")
+    return (
+        math.log((l + 1) ** m - 1)
+        + math.log(l + 1)
+        - math.log(l)
+        - 0.5 * math.log(2 * math.pi * m * ((l + 1) ** 2 - 1) / 12)
+    )
+
+
 def stirling_h_estimate(l: int, m: int) -> float:
     """Normal-style estimate of the composition count at the central value.
 
@@ -311,18 +299,8 @@ def stirling_h_estimate(l: int, m: int) -> float:
     in log space; the exact count at floor(m*l/2) divided by this tends
     to 1 as m grows.
     """
-    if l < 1:
-        raise ValueError(f"width l must be >= 1 (zero variance at l=0), got {l}")
-    if m < 1:
-        raise ValueError(f"max parts m must be >= 1, got {m}")
-    log_est = (
-        math.log((l + 1) ** m - 1)
-        + math.log(l + 1)
-        - math.log(l)
-        - 0.5 * math.log(2 * math.pi * m * ((l + 1) ** 2 - 1) / 12)
-    )
     try:
-        return math.exp(log_est)
+        return math.exp(_stirling_log_estimate(l, m))
     except OverflowError:
         return math.inf
 
@@ -333,22 +311,8 @@ def stirling_h_ratio(l: int, m: int) -> float:
     Stays in log space end to end, so it is finite even when both the
     count and the estimate overflow float64.
     """
-    if l < 1:
-        raise ValueError(f"width l must be >= 1, got {l}")
-    if m < 1:
-        raise ValueError(f"max parts m must be >= 1, got {m}")
-    acc = 0
-    target = (m * l) // 2
-    for j, row in enumerate(iter_raw_rows(l, m)):
-        if j >= 1 and target < len(row):
-            acc += row[target]
-    log_est = (
-        math.log((l + 1) ** m - 1)
-        + math.log(l + 1)
-        - math.log(l)
-        - 0.5 * math.log(2 * math.pi * m * ((l + 1) ** 2 - 1) / 12)
-    )
-    return math.exp(math.log(acc) - log_est)
+    log_est = _stirling_log_estimate(l, m)
+    return math.exp(math.log(row_sums(l, m)[m * l // 2]) - log_est)
 
 
 def sample(spec: RectSpec, count: int, seed: int) -> list[Composition]:

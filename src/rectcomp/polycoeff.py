@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add
 from typing import Iterator
 
 
@@ -66,9 +67,9 @@ def _next_row(prev: list[int], l: int) -> list[int]:
 def iter_raw_rows(l: int, k_max: int) -> Iterator[list[int]]:
     """Yield rows 0..k_max as plain lists of ints.
 
-    Callers that aggregate over many consecutive rows (all the h-type
-    sums) use this to pay for each row once.  The yielded lists are
-    fresh objects; mutating them does not affect the iteration.
+    For callers whose output is every row; sums over rows go through
+    :func:`row_sums`.  The yielded lists are fresh objects; mutating
+    them does not affect the iteration.
     """
     _check_params(l, k_max)
     row = [1]
@@ -76,6 +77,27 @@ def iter_raw_rows(l: int, k_max: int) -> Iterator[list[int]]:
     for _ in range(k_max):
         row = _next_row(row, l)
         yield list(row)
+
+
+def row_sums(l: int, m: int, shift: int = 0) -> list[int]:
+    """Coefficients of the sum over j = 1..m of x**(j*shift) * (1+x+...+x**l)**j.
+
+    Entry i is the coefficient of x**(shift + i), so the list has
+    m*(l+shift) - shift + 1 entries; m = 0 gives [0].  With shift 0
+    this is the sum of rows 1..m; with shift a it is the weight vector
+    of compositions with at most m parts in {a, ..., a+l}.  Each row is
+    built once, from the one before, and added in place.
+    """
+    _check_params(l, m)
+    if shift < 0:
+        raise ValueError(f"shift must be >= 0, got {shift}")
+    acc = [0] * (m * (l + shift) - shift + 1 if m else 1)
+    row = [1]
+    for j in range(m):
+        row = _next_row(row, l)
+        span = slice(j * shift, j * shift + len(row))
+        acc[span] = map(add, acc[span], row)
+    return acc
 
 
 def triangle_row(l: int, k: int) -> TriangleRow:

@@ -5,9 +5,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rectcomp
+from rectcomp import NormalRef, RectSpec
 from rectcomp.cli import (
     EXIT_CHECK_FAILED,
     EXIT_GUARD,
@@ -113,6 +119,18 @@ def test_count_verify_guard_exit(capsys, monkeypatch):
     assert "guard" in err
 
 
+@pytest.mark.parametrize("raw", ["abc", "0", "-5"])
+def test_count_bad_guard_is_usage_error_only_under_verify(capsys, monkeypatch, raw):
+    monkeypatch.setenv(GUARD_ENV_VAR, raw)
+    args = ("count", "--n", "5", "--k", "2", "--a", "0", "--b", "3")
+    status, out, _ = run_cli(capsys, *args)
+    assert status == EXIT_OK
+    assert out.strip() == "2"
+    status, _, err = run_cli(capsys, *args, "--verify")
+    assert status == 2
+    assert GUARD_ENV_VAR in err
+
+
 def test_count_requires_bounds_or_support(capsys):
     status, _, _ = run_cli(capsys, "count", "--n", "5", "--k", "2")
     assert status == 2
@@ -133,11 +151,19 @@ def test_count_json_format(capsys):
 
 
 def test_dist_sums_to_one(capsys):
-    status, out, _ = run_cli(capsys, "dist", "--a", "0", "--b", "2", "--m", "5")
-    assert status == EXIT_OK
-    rows = parse_csv(out)
-    assert math.fsum(float(r["pmf_x"]) for r in rows) == pytest.approx(1.0, abs=1e-12)
-    assert math.fsum(float(r["pmf_s"]) for r in rows) == pytest.approx(1.0, abs=1e-12)
+    for a, b, m in ((0, 2, 5), (2, 5, 4)):
+        status, out, _ = run_cli(capsys, "dist", "--a", str(a), "--b", str(b),
+                                 "--m", str(m))
+        assert status == EXIT_OK
+        rows = parse_csv(out)
+        assert math.fsum(float(r["pmf_x"]) for r in rows) == pytest.approx(1.0, abs=1e-12)
+        assert math.fsum(float(r["pmf_s"]) for r in rows) == pytest.approx(1.0, abs=1e-12)
+        normal = NormalRef.for_spec(RectSpec(a, b, m))
+        for r in rows:
+            n = int(r["n"])
+            assert r["normal"] == repr(normal.cell_mass(n))
+            if n < m * a:
+                assert float(r["pmf_s"]) == 0.0
 
 
 def test_dist_peak_location(capsys):
@@ -291,6 +317,30 @@ def test_output_to_file(tmp_path, capsys):
     content = target.read_text(encoding="utf-8")
     assert content.startswith("k,n,coeff\n")
     assert "\r" not in content
+
+
+def test_output_unwritable_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    status, out, err = run_cli(capsys, "triangle", "--l", "2", "--rows", "3",
+                               "--output", str(target))
+    assert status == 2
+    assert out == ""
+    assert err.startswith(f"rectcomp: error: cannot write {target}: ")
+    assert "Traceback" not in err
+
+
+def test_closed_stdout_exits_quietly():
+    src = str(Path(rectcomp.__file__).resolve().parent.parent)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rectcomp.cli", "sample", "--b", "2", "--m", "5",
+         "--count", "20000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.readline() == b"index,sum,parts\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    assert err == b""
 
 
 def test_float_digits_validation(capsys):

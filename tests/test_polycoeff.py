@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from rectcomp.polycoeff import (
     central_coeff,
     iter_raw_rows,
     poly_coeff,
+    row_sums,
     triangle_row,
 )
 
@@ -59,6 +61,20 @@ def test_iter_raw_rows_matches_single_rows():
     for l in (0, 1, 3):
         for k, row in enumerate(iter_raw_rows(l, 6)):
             assert tuple(row) == triangle_row(l, k).entries
+
+
+@given(l=st.integers(0, 6), m=st.integers(0, 8), shift=st.integers(0, 3))
+@settings(max_examples=80, deadline=None)
+def test_row_sums_matches_shifted_powers(l, m, shift):
+    full = [0]
+    for j in range(1, m + 1):
+        term = [0] * (j * shift) + poly_power_coeffs(l, j)
+        full = [x + y for x, y in zip_longest(full, term, fillvalue=0)]
+    if m == 0:
+        assert row_sums(l, m, shift) == [0]
+    else:
+        assert not any(full[:shift])
+        assert row_sums(l, m, shift) == full[shift:]
 
 
 def test_poly_coeff_values_and_out_of_range():
