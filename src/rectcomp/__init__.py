@@ -26,6 +26,7 @@ from .distributions import (
     RectSpec,
     error_decomposition,
     gamma_leading,
+    iter_sample,
     normal_distance,
     pmf_S,
     pmf_X,
@@ -71,6 +72,7 @@ __all__ = [
     "gamma_leading",
     "h_sequence",
     "iter_raw_rows",
+    "iter_sample",
     "normal_distance",
     "pmf_S",
     "pmf_X",

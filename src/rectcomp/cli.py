@@ -24,7 +24,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 from .compositions import (
     DEFAULT_ENUM_GUARD,
@@ -38,10 +38,10 @@ from .distributions import (
     NormalRef,
     RectSpec,
     error_decomposition,
+    iter_sample,
     normal_distance,
     pmf_S,
     pmf_X,
-    sample,
 )
 from .polycoeff import iter_raw_rows
 
@@ -196,7 +196,12 @@ class _Emitter:
             return ""
         return str(value)
 
-    def emit(self, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+    def emit(self, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+        """Write ``rows`` under ``header``.
+
+        csv writes each row as soon as the iterable yields it; json and
+        table first collect every row (table needs the column widths).
+        """
         if self.spec.fmt == "csv":
             self.stream.write(",".join(header) + "\n")
             for row in rows:
@@ -421,13 +426,11 @@ def _cmd_sample(args, parser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     out = _output_spec(args, parser)
-    draws = sample(spec, args.count, args.seed)
+    draws = iter_sample(spec, args.count, args.seed)
 
     def run(emitter: _Emitter) -> int:
-        rows = [
-            (i, sum(parts), " ".join(str(p) for p in parts))
-            for i, parts in enumerate(draws)
-        ]
+        rows = ((i, sum(parts), " ".join(map(str, parts)))
+                for i, parts in enumerate(draws))
         emitter.emit(("index", "sum", "parts"), rows)
         return EXIT_OK
 

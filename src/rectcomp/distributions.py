@@ -23,6 +23,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from typing import Iterator
 
 from .compositions import Composition
 from .polycoeff import _next_row, row_sums, triangle_row
@@ -315,33 +317,48 @@ def stirling_h_ratio(l: int, m: int) -> float:
     return math.exp(math.log(row_sums(l, m)[m * l // 2]) - log_est)
 
 
-def sample(spec: RectSpec, count: int, seed: int) -> list[Composition]:
-    """Draw ``count`` uniform compositions from the rectangle family.
+def _unrank(rank: int, a: int, r: int, cumulative: list[int]) -> Composition:
+    """The composition of rank ``rank`` in [0, cumulative[-1]).
 
-    Uniformity over all compositions factors through the number of
-    parts: j is chosen with probability (b-a+1)**j over the geometric
-    total, then each of the j parts is uniform on {a..b}.  Driven by a
-    seeded SplitMix64 stream, so identical seeds give identical samples
-    on any platform.  The stream lives and dies inside this call; for
-    parallel sampling give each worker its own seed.
+    ``cumulative[i]`` counts the compositions with at most i parts,
+    0 + r + r**2 + ... + r**i, and ranks run through the compositions
+    with fewer parts first.  So the number of parts j is the number of
+    cumulative counts at or below the rank, and the rank within the
+    j-part block, in [0, r**j), is read as j base-r digits, least
+    significant first, each shifted up by a.  Every rank maps to a
+    different composition and every composition has a rank.
+    """
+    j = bisect_right(cumulative, rank)
+    rank -= cumulative[j - 1]
+    parts = []
+    for _ in range(j):
+        rank, digit = divmod(rank, r)
+        parts.append(a + digit)
+    return tuple(parts)
+
+
+def iter_sample(spec: RectSpec, count: int, seed: int) -> Iterator[Composition]:
+    """Lazily draw ``count`` uniform compositions from the rectangle family.
+
+    Each composition costs one ``below(total)`` draw from a seeded
+    SplitMix64 stream, where total is the number of compositions; the
+    draw is a rank, turned into its composition by a bijection (see
+    ``_unrank``), so the draws are exactly uniform up to ``below``'s
+    2**-128 bias.  Identical seeds give identical draws on any platform.
+    A bad ``count`` raises here, before the first draw.  The stream lives
+    and dies inside the returned iterator; for parallel sampling give
+    each worker its own seed.
     """
     if count < 0:
         raise ValueError(f"sample count must be >= 0, got {count}")
-    r = spec.width + 1
-    cumulative = []
-    acc = 0
-    for j in range(1, spec.m + 1):
-        acc += r ** j
-        cumulative.append(acc)
+    a, r = spec.a, spec.width + 1
+    cumulative = list(accumulate((r ** j for j in range(1, spec.m + 1)),
+                                 initial=0))
     total = cumulative[-1]
-
     gen = SplitMix64(seed)
-    out: list[Composition] = []
-    for _ in range(count):
-        u = gen.below(total)
-        j = bisect_right(cumulative, u) + 1
-        if r == 1:
-            out.append((spec.a,) * j)
-        else:
-            out.append(tuple(spec.a + gen.below(r) for _ in range(j)))
-    return out
+    return (_unrank(gen.below(total), a, r, cumulative) for _ in range(count))
+
+
+def sample(spec: RectSpec, count: int, seed: int) -> list[Composition]:
+    """The draws of ``iter_sample(spec, count, seed)`` as a list."""
+    return list(iter_sample(spec, count, seed))

@@ -21,7 +21,9 @@ from rectcomp.cli import (
     GUARD_ENV_VAR,
     TABLE1_EXPECTED_CELLS,
     TABLE1_EXPECTED_FACTORS,
+    OutputSpec,
     Table1Row,
+    _Emitter,
     check_table1,
     compute_table1,
     main,
@@ -297,6 +299,35 @@ def test_sample_sum_column_consistent(capsys):
         parts = [int(p) for p in row["parts"].split()]
         assert sum(parts) == int(row["sum"])
         assert all(1 <= p <= 4 for p in parts)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "table"])
+def test_sample_output_matches_listed_draws(capsys, fmt):
+    # CLI sample feeds the emitter a lazy row iterable; its bytes must equal
+    # the emitter's output for the same draws given as a list.
+    draws = rectcomp.sample(RectSpec(1, 4, 3), 40, seed=5)
+    rows = [(i, sum(parts), " ".join(map(str, parts))) for i, parts in enumerate(draws)]
+    expected = io.StringIO()
+    _Emitter(OutputSpec(fmt=fmt), expected).emit(("index", "sum", "parts"), rows)
+    _, out, _ = run_cli(capsys, "sample", "--a", "1", "--b", "4", "--m", "3",
+                        "--count", "40", "--seed", "5", "--format", fmt)
+    assert out == expected.getvalue()
+
+
+def test_sample_csv_streams_rows_as_drawn(monkeypatch):
+    stream = io.StringIO()
+    written_before_second_draw = []
+
+    def fake_iter_sample(spec, count, seed):
+        yield (1, 2)
+        written_before_second_draw.append(stream.getvalue())
+        yield (3,)
+
+    monkeypatch.setattr("rectcomp.cli.iter_sample", fake_iter_sample)
+    monkeypatch.setattr(sys, "stdout", stream)
+    assert main(["sample", "--a", "1", "--b", "3", "--m", "2", "--count", "2"]) == EXIT_OK
+    assert written_before_second_draw == ["index,sum,parts\n0,3,1 2\n"]
+    assert stream.getvalue() == "index,sum,parts\n0,3,1 2\n1,3,3\n"
 
 
 def test_sample_rejects_bad_count(capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -12,8 +13,10 @@ from rectcomp.distributions import (
     ExactPmf,
     NormalRef,
     RectSpec,
+    _unrank,
     error_decomposition,
     gamma_leading,
+    iter_sample,
     normal_distance,
     pmf_S,
     pmf_X,
@@ -130,14 +133,15 @@ def test_pmf_x_gap_support():
     assert pmf.total == 6
 
 
+def rectangle_family(a: int, b: int, m: int) -> list:
+    return [comp
+            for j in range(1, m + 1)
+            for n in range(j * a, j * b + 1)
+            for comp in enumerate_compositions(n, j, bounds=PartBounds(a, b))]
+
+
 def brute_force_pmf_x(spec: RectSpec) -> Counter:
-    hits = Counter()
-    for j in range(1, spec.m + 1):
-        for total in range(j * spec.a, j * spec.b + 1):
-            for comp in enumerate_compositions(total, j,
-                                               bounds=PartBounds(spec.a, spec.b)):
-                hits[sum(comp)] += 1
-    return hits
+    return Counter(sum(comp) for comp in rectangle_family(spec.a, spec.b, spec.m))
 
 
 @pytest.mark.parametrize("a", [0, 1, 2])
@@ -347,3 +351,46 @@ def test_sample_matches_pmf_x():
     freq = Counter(sum(parts) for parts in sample(spec, n_draws, seed=20260810))
     sup = max(abs(freq.get(n, 0) / n_draws - px.float_prob(n)) for n in px.support)
     assert sup < 0.01
+
+
+@pytest.mark.parametrize("a", [0, 1, 2])
+def test_unrank_is_a_bijection_onto_the_family(a):
+    for width in range(4):
+        r = width + 1
+        for m in range(1, 5):
+            cumulative = list(accumulate((r ** j for j in range(1, m + 1)), initial=0))
+            ranked = [_unrank(u, a, r, cumulative) for u in range(cumulative[-1])]
+            family = rectangle_family(a, a + width, m)
+            assert len(ranked) == len(family) == len(set(family))
+            assert sorted(ranked) == sorted(family), (a, width, m)
+
+
+def test_sample_draws_once_per_composition(monkeypatch):
+    bounds = []
+    below = SplitMix64.below
+
+    def counting_below(self, bound):
+        bounds.append(bound)
+        return below(self, bound)
+
+    monkeypatch.setattr(SplitMix64, "below", counting_below)
+    for spec in (RectSpec(0, 2, 5), RectSpec(3, 3, 4), RectSpec(0, 64, 20)):
+        bounds.clear()
+        assert len(sample(spec, 37, seed=3)) == 37
+        assert bounds == [pmf_X(spec).total] * 37
+
+
+def test_iter_sample_is_lazy():
+    parts = next(iter_sample(RectSpec(0, 64, 20), 10 ** 12, seed=1))
+    assert 1 <= len(parts) <= 20 and all(0 <= p <= 64 for p in parts)
+
+
+def test_iter_sample_matches_sample():
+    for spec in (RectSpec(0, 2, 5), RectSpec(2, 2, 3), RectSpec(1, 9, 12)):
+        assert list(iter_sample(spec, 300, seed=11)) == sample(spec, 300, seed=11)
+    assert list(iter_sample(RectSpec(0, 2, 5), 0, seed=11)) == []
+
+
+def test_iter_sample_rejects_negative_count_when_called():
+    with pytest.raises(ValueError):
+        iter_sample(RectSpec(0, 2, 5), -1, seed=0)
