@@ -10,8 +10,9 @@ Subcommands expose the library and emit machine-readable output:
 * ``sample``    -- reproducible uniform composition samples
 
 Exit codes are part of the interface: 0 ok, 1 reference-check failure,
-2 usage error (also a bad RECTCOMP_ENUM_GUARD or an unwritable --output),
-3 enumeration guard exceeded; a closed stdout (``| head``) exits 0.
+2 usage error (also a bad RECTCOMP_ENUM_GUARD, a bad ``count`` bound or
+support, and an output that cannot be opened or written), 3 enumeration
+guard exceeded; a closed stdout (``| head``) exits 0.
 Exact counts print as full decimal strings; csv/json floats print as
 shortest round-trip strings, and the table format rounds to the
 requested significant digits.
@@ -19,12 +20,13 @@ requested significant digits.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Sequence
 
 from .compositions import (
     DEFAULT_ENUM_GUARD,
@@ -151,13 +153,6 @@ def check_table1(rows: Sequence[Table1Row]) -> list[str]:
 # Output handling
 
 
-@dataclass(frozen=True)
-class OutputSpec:
-    fmt: str = "csv"
-    destination: str | None = None
-    float_digits: int = 6
-
-
 def _add_output_args(parser: argparse.ArgumentParser, default_fmt: str = "csv") -> None:
     parser.add_argument("--format", choices=("csv", "json", "table"),
                         default=default_fmt, help="output format")
@@ -167,75 +162,56 @@ def _add_output_args(parser: argparse.ArgumentParser, default_fmt: str = "csv") 
                         help="significant digits for floats in table format (4-17)")
 
 
-def _output_spec(args: argparse.Namespace, parser: argparse.ArgumentParser) -> OutputSpec:
-    digits = args.float_digits
-    if not 4 <= digits <= 17:
-        parser.error(f"--float-digits must be in [4, 17], got {digits}")
-    return OutputSpec(fmt=args.format, destination=args.output, float_digits=digits)
+def _stdout_to_devnull() -> None:
+    # Whatever stdout still buffers then goes nowhere, so the
+    # interpreter's final flush neither fails nor prints a warning.
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-class _Emitter:
-    """Renders rows of (header, cells) in csv, json, or aligned-table form.
+def _write(args: argparse.Namespace, header: Sequence[str] | None,
+           rows: Iterable[Sequence]) -> int:
+    """Write ``rows`` under ``header`` to ``--output`` or standard output.
 
-    Cell values: ints and strings pass through untouched (exact counts
-    stay full decimal strings); floats render as shortest round-trip
-    strings in csv/json and at ``float_digits`` significant digits in
-    table format.
+    csv writes each row as soon as the iterable yields it; json and
+    table first collect every row (table needs the column widths).
+    Ints and strings print untouched (exact counts stay full decimal
+    strings) and ``None`` prints as an empty cell; floats print as
+    shortest round-trip strings in csv/json and at ``--float-digits``
+    significant digits in table format.  A ``None`` header writes no
+    header line (csv and table only).  Returns the exit status: a
+    destination that cannot be opened or written is a usage error.
     """
-
-    def __init__(self, spec: OutputSpec, stream: TextIO):
-        self.spec = spec
-        self.stream = stream
-
-    def _cell(self, value, for_table: bool) -> str:
-        if isinstance(value, float):
-            if for_table:
-                return f"{value:.{self.spec.float_digits}g}"
-            return repr(value)
-        if value is None:
-            return ""
-        return str(value)
-
-    def emit(self, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-        """Write ``rows`` under ``header``.
-
-        csv writes each row as soon as the iterable yields it; json and
-        table first collect every row (table needs the column widths).
-        """
-        if self.spec.fmt == "csv":
-            self.stream.write(",".join(header) + "\n")
-            for row in rows:
-                self.stream.write(",".join(self._cell(v, False) for v in row) + "\n")
-        elif self.spec.fmt == "json":
-            payload = [dict(zip(header, row)) for row in rows]
-            json.dump(payload, self.stream, indent=2)
-            self.stream.write("\n")
-        else:
-            cells = [[self._cell(v, True) for v in row] for row in rows]
-            widths = [
-                max(len(h), *(len(r[i]) for r in cells)) if cells else len(h)
-                for i, h in enumerate(header)
-            ]
-            self.stream.write(
-                "  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip() + "\n"
-            )
-            for row in cells:
-                self.stream.write(
-                    "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n"
-                )
-
-
-def _with_stream(spec: OutputSpec, fn) -> int:
-    if spec.destination is None:
-        return fn(_Emitter(spec, sys.stdout))
     try:
-        handle = open(spec.destination, "w", encoding="utf-8", newline="")
+        with (contextlib.nullcontext(sys.stdout) if args.output is None
+              else open(args.output, "w", encoding="utf-8", newline="")) as stream:
+            if args.format == "csv":
+                if header:
+                    stream.write(",".join(header) + "\n")
+                for row in rows:
+                    stream.write(",".join(["" if v is None else str(v) for v in row]) + "\n")
+            elif args.format == "json":
+                json.dump([dict(zip(header, row)) for row in rows], stream, indent=2)
+                stream.write("\n")
+            else:
+                digits = args.float_digits
+                lines = [header] if header else []
+                lines += [["" if v is None else f"{v:.{digits}g}" if isinstance(v, float)
+                           else str(v) for v in row] for row in rows]
+                widths = [max(map(len, column)) for column in zip(*lines)]
+                for line in lines:
+                    stream.write("  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip()
+                                 + "\n")
+            stream.flush()
+    except BrokenPipeError:
+        raise
     except OSError as exc:
-        print(f"rectcomp: error: cannot write {spec.destination}: {exc.strerror}",
+        destination = "standard output" if args.output is None else args.output
+        print(f"rectcomp: error: cannot write {destination}: {exc.strerror}",
               file=sys.stderr)
+        if args.output is None:
+            _stdout_to_devnull()
         return EXIT_USAGE
-    with handle:
-        return fn(_Emitter(spec, handle))
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -245,17 +221,10 @@ def _with_stream(spec: OutputSpec, fn) -> int:
 def _cmd_triangle(args, parser) -> int:
     if args.l < 0 or args.rows < 0:
         parser.error("--l and --rows must be >= 0")
-    out = _output_spec(args, parser)
-
-    def run(emitter: _Emitter) -> int:
-        rows = []
-        for k, row in enumerate(iter_raw_rows(args.l, args.rows)):
-            for n, coeff in enumerate(row):
-                rows.append((k, n, str(coeff)))
-        emitter.emit(("k", "n", "coeff"), rows)
-        return EXIT_OK
-
-    return _with_stream(out, run)
+    return _write(args, ("k", "n", "coeff"),
+                  ((k, n, str(coeff))
+                   for k, row in enumerate(iter_raw_rows(args.l, args.rows))
+                   for n, coeff in enumerate(row)))
 
 
 def _parse_support(raw: str, parser) -> list[int]:
@@ -274,20 +243,17 @@ def _cmd_count(args, parser) -> int:
     if (args.support is None) == (args.b is None):
         parser.error("provide either --a/--b or --support")
 
-    if args.support is not None:
-        support = _parse_support(args.support, parser)
-        result = count_support(args.n, args.k, support)
-        enum_kwargs = {"support": support}
-    else:
-        if args.b == "inf":
-            bounds = PartBounds(args.a, None)
+    try:
+        if args.support is not None:
+            support = _parse_support(args.support, parser)
+            result = count_support(args.n, args.k, support)
+            enum_kwargs = {"support": support}
         else:
-            try:
-                bounds = PartBounds(args.a, int(args.b))
-            except ValueError as exc:
-                parser.error(str(exc))
-        result = count(args.n, args.k, bounds)
-        enum_kwargs = {"bounds": bounds}
+            bounds = PartBounds(args.a, None if args.b == "inf" else int(args.b))
+            result = count(args.n, args.k, bounds)
+            enum_kwargs = {"bounds": bounds}
+    except ValueError as exc:
+        parser.error(str(exc))
 
     if args.verify:
         raw = os.environ.get(GUARD_ENV_VAR, str(DEFAULT_ENUM_GUARD))
@@ -308,16 +274,9 @@ def _cmd_count(args, parser) -> int:
                   file=sys.stderr)
             return EXIT_CHECK_FAILED
 
-    out = _output_spec(args, parser)
-
-    def run(emitter: _Emitter) -> int:
-        if out.fmt == "json":
-            emitter.emit(("n", "k", "count"), [(args.n, args.k, str(result))])
-        else:
-            emitter.stream.write(str(result) + "\n")
-        return EXIT_OK
-
-    return _with_stream(out, run)
+    if args.format == "json":
+        return _write(args, ("n", "k", "count"), [(args.n, args.k, str(result))])
+    return _write(args, None, [(result,)])
 
 
 def _cmd_dist(args, parser) -> int:
@@ -327,54 +286,37 @@ def _cmd_dist(args, parser) -> int:
         parser.error(str(exc))
     if spec.a == spec.b:
         parser.error("normal column undefined for a = b (zero variance)")
-    out = _output_spec(args, parser)
 
     px = pmf_X(spec)
     ps = pmf_S(spec)
     normal = NormalRef.for_spec(spec)
-
-    def run(emitter: _Emitter) -> int:
-        emitter.emit(("n", "pmf_x", "pmf_s", "normal"),
-                     [(n, px.float_prob(n), ps.float_prob(n), normal.cell_mass(n))
-                      for n in range(px.offset, spec.m * spec.b + 1)])
-        return EXIT_OK
-
-    return _with_stream(out, run)
+    return _write(args, ("n", "pmf_x", "pmf_s", "normal"),
+                  [(n, px.float_prob(n), ps.float_prob(n), normal.cell_mass(n))
+                   for n in range(px.offset, spec.m * spec.b + 1)])
 
 
 def _cmd_table1(args, parser) -> int:
-    out = _output_spec(args, parser)
     rows = compute_table1()
+    if args.format == "table":
+        by_label = {(r.l, r.m_label): r for r in rows}
+        table_rows = []
+        for l in TABLE1_L_VALUES:
+            r10 = by_label[(l, 10)]
+            r20 = by_label[(l, 20)]
+            table_rows.append((
+                l, r10.max_abs_diff,
+                None if r10.factor is None else f"{r10.factor:.2f}",
+                r20.max_abs_diff,
+                None if r20.factor is None else f"{r20.factor:.2f}",
+            ))
+        status = _write(args, ("l", "m=10", "factor", "m=20", "factor"), table_rows)
+    else:
+        status = _write(args, ("l", "m", "parts_budget", "max_abs_diff", "factor"),
+                        [(r.l, r.m_label, r.parts_budget, r.max_abs_diff, r.factor)
+                         for r in rows])
 
-    failures = check_table1(rows) if args.check else []
-
-    def run(emitter: _Emitter) -> int:
-        if out.fmt == "table":
-            header = ("l", "m=10", "factor", "m=20", "factor")
-            by_label = {
-                (r.l, r.m_label): r for r in rows
-            }
-            table_rows = []
-            for l in TABLE1_L_VALUES:
-                r10 = by_label[(l, 10)]
-                r20 = by_label[(l, 20)]
-                table_rows.append((
-                    l, r10.max_abs_diff,
-                    None if r10.factor is None else f"{r10.factor:.2f}",
-                    r20.max_abs_diff,
-                    None if r20.factor is None else f"{r20.factor:.2f}",
-                ))
-            emitter.emit(header, table_rows)
-        else:
-            emitter.emit(
-                ("l", "m", "parts_budget", "max_abs_diff", "factor"),
-                [(r.l, r.m_label, r.parts_budget, r.max_abs_diff, r.factor)
-                 for r in rows],
-            )
-        return EXIT_OK
-
-    status = _with_stream(out, run)
     if args.check:
+        failures = check_table1(rows)
         if failures:
             for line in failures:
                 print(f"check: FAIL {line}", file=sys.stderr)
@@ -392,7 +334,6 @@ def _cmd_normality(args, parser) -> int:
         parser.error("--m must be non-empty")
     if args.b <= args.a:
         parser.error("normality needs b > a (nonzero variance)")
-    out = _output_spec(args, parser)
 
     reports = []
     for m in m_values:
@@ -401,14 +342,8 @@ def _cmd_normality(args, parser) -> int:
         except ValueError as exc:
             parser.error(str(exc))
 
-    def run(emitter: _Emitter) -> int:
-        emitter.emit(
-            ("m", "ks", "max_pmf_diff", "peak"),
-            [(m, rep.ks, rep.max_pmf_diff, rep.pmf_argmax) for m, rep in reports],
-        )
-        return EXIT_OK
-
-    status = _with_stream(out, run)
+    status = _write(args, ("m", "ks", "max_pmf_diff", "peak"),
+                    [(m, rep.ks, rep.max_pmf_diff, rep.pmf_argmax) for m, rep in reports])
     if args.assert_decreasing:
         ks_values = [rep.ks for _, rep in reports]
         if any(b >= a for a, b in zip(ks_values, ks_values[1:])):
@@ -425,16 +360,10 @@ def _cmd_sample(args, parser) -> int:
         spec = RectSpec(args.a, args.b, args.m)
     except ValueError as exc:
         parser.error(str(exc))
-    out = _output_spec(args, parser)
     draws = iter_sample(spec, args.count, args.seed)
-
-    def run(emitter: _Emitter) -> int:
-        rows = ((i, sum(parts), " ".join(map(str, parts)))
-                for i, parts in enumerate(draws))
-        emitter.emit(("index", "sum", "parts"), rows)
-        return EXIT_OK
-
-    return _with_stream(out, run)
+    return _write(args, ("index", "sum", "parts"),
+                  ((i, sum(parts), " ".join(map(str, parts)))
+                   for i, parts in enumerate(draws)))
 
 
 # ---------------------------------------------------------------------------
@@ -503,15 +432,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if not 4 <= args.float_digits <= 17:
+        parser.error(f"--float-digits must be in [4, 17], got {args.float_digits}")
     try:
-        status = args.handler(args, parser)
-        sys.stdout.flush()
+        return args.handler(args, parser)
     except BrokenPipeError:
         # The reader closed stdout early (`| head`), which is not an error.
-        # Point stdout at devnull so the interpreter's final flush is quiet.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _stdout_to_devnull()
         return EXIT_OK
-    return status
 
 
 if __name__ == "__main__":

@@ -1,16 +1,21 @@
 """Command-line interface: output formats, golden values, exit codes."""
 from __future__ import annotations
 
+import argparse
 import csv
+import errno
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import rectcomp
 from rectcomp import NormalRef, RectSpec
@@ -21,9 +26,8 @@ from rectcomp.cli import (
     GUARD_ENV_VAR,
     TABLE1_EXPECTED_CELLS,
     TABLE1_EXPECTED_FACTORS,
-    OutputSpec,
     Table1Row,
-    _Emitter,
+    _write,
     check_table1,
     compute_table1,
     main,
@@ -139,6 +143,14 @@ def test_count_requires_bounds_or_support(capsys):
     status, _, _ = run_cli(capsys, "count", "--n", "5", "--k", "2",
                            "--b", "3", "--support", "1,2")
     assert status == 2
+
+
+@pytest.mark.parametrize("bounds", [("--a", "-1", "--b", "inf"), ("--support=-1,2",)])
+def test_count_bad_bound_or_support_is_usage_error(capsys, bounds):
+    status, out, err = run_cli(capsys, "count", "--n", "3", "--k", "2", *bounds)
+    assert status == 2
+    assert out == ""
+    assert err.splitlines()[-1].startswith("rectcomp: error: ")
 
 
 def test_count_json_format(capsys):
@@ -303,15 +315,16 @@ def test_sample_sum_column_consistent(capsys):
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "table"])
 def test_sample_output_matches_listed_draws(capsys, fmt):
-    # CLI sample feeds the emitter a lazy row iterable; its bytes must equal
-    # the emitter's output for the same draws given as a list.
+    # CLI sample feeds the writer a lazy row iterable; its bytes must equal
+    # the writer's output for the same draws given as a list.
     draws = rectcomp.sample(RectSpec(1, 4, 3), 40, seed=5)
     rows = [(i, sum(parts), " ".join(map(str, parts))) for i, parts in enumerate(draws)]
-    expected = io.StringIO()
-    _Emitter(OutputSpec(fmt=fmt), expected).emit(("index", "sum", "parts"), rows)
+    options = argparse.Namespace(format=fmt, output=None, float_digits=6)
+    assert _write(options, ("index", "sum", "parts"), rows) == EXIT_OK
+    expected = capsys.readouterr().out
     _, out, _ = run_cli(capsys, "sample", "--a", "1", "--b", "4", "--m", "3",
                         "--count", "40", "--seed", "5", "--format", fmt)
-    assert out == expected.getvalue()
+    assert out == expected
 
 
 def test_sample_csv_streams_rows_as_drawn(monkeypatch):
@@ -372,6 +385,110 @@ def test_closed_stdout_exits_quietly():
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 0
     assert err == b""
+
+
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                    reason="needs /dev/full")
+NO_SPACE = os.strerror(errno.ENOSPC)
+
+
+@needs_dev_full
+@pytest.mark.parametrize("count", ["5", "20000"])  # fails at the final flush / mid-stream
+def test_output_write_failure_is_usage_error(capsys, count):
+    status, out, err = run_cli(capsys, "sample", "--b", "2", "--m", "5",
+                               "--count", count, "--output", "/dev/full")
+    assert status == 2
+    assert out == ""
+    assert err == f"rectcomp: error: cannot write /dev/full: {NO_SPACE}\n"
+
+
+@needs_dev_full
+@pytest.mark.parametrize("count", ["5", "20000"])  # fails at the final flush / mid-stream
+def test_stdout_write_failure_is_usage_error(count):
+    src = str(Path(rectcomp.__file__).resolve().parent.parent)
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "rectcomp.cli", "sample", "--b", "2", "--m", "5",
+             "--count", count],
+            stdout=full, stderr=subprocess.PIPE, timeout=120,
+            env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 2
+    assert proc.stderr.decode() == (
+        f"rectcomp: error: cannot write standard output: {NO_SPACE}\n")
+
+
+OUTPUT_CASES = {
+    "triangle": ("--l", "2", "--rows", "4"),
+    "count": ("--n", "5", "--k", "3", "--b", "3"),
+    "dist": ("--a", "1", "--b", "3", "--m", "4"),
+    "table1": (),
+    "normality": ("--b", "4", "--m", "5,10"),
+    "sample": ("--b", "3", "--m", "4", "--count", "30", "--seed", "7"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "table"])
+@pytest.mark.parametrize("command", sorted(OUTPUT_CASES))
+def test_output_file_matches_stdout(tmp_path, capsys, command, fmt):
+    argv = (command, *OUTPUT_CASES[command], "--format", fmt)
+    status, out, _ = run_cli(capsys, *argv)
+    assert status == EXIT_OK
+    target = tmp_path / "out"
+    status, file_out, _ = run_cli(capsys, *argv, "--output", str(target))
+    assert status == EXIT_OK
+    assert file_out == ""
+    assert target.read_bytes() == out.encode("utf-8")
+
+
+def _flag(name, values):
+    return values.map(lambda value: (f"{name}={value}",))
+
+
+def _maybe(name, values):
+    return st.one_of(st.just(()), _flag(name, values))
+
+
+def _switch(name):
+    return st.sampled_from([(), (name,)])
+
+
+_small = st.integers(-2, 8).map(str)
+_int_list = st.lists(st.integers(-2, 8), max_size=3).map(lambda xs: ",".join(map(str, xs)))
+_FUZZ_ARGS = {
+    "triangle": [_flag("--l", _small), _flag("--rows", _small)],
+    "count": [_flag("--n", _small), _flag("--k", _small), _maybe("--a", _small),
+              _maybe("--b", st.one_of(_small, st.sampled_from(["inf", "x"]))),
+              _maybe("--support", _int_list), _switch("--verify")],
+    "dist": [_maybe("--a", _small), _flag("--b", _small), _flag("--m", _small)],
+    "table1": [_switch("--check")],
+    "normality": [_maybe("--a", _small), _flag("--b", _small), _flag("--m", _int_list),
+                  _switch("--assert-decreasing")],
+    "sample": [_maybe("--a", _small), _flag("--b", _small), _flag("--m", _small),
+               _flag("--count", _small), _maybe("--seed", _small)],
+}
+_FUZZ_ARGV = st.sampled_from(sorted(_FUZZ_ARGS)).flatmap(
+    lambda command: st.tuples(
+        st.just((command,)), *_FUZZ_ARGS[command],
+        _maybe("--format", st.sampled_from(["csv", "json", "table"])),
+        _maybe("--float-digits", st.sampled_from(["3", "4", "17", "18"])),
+        st.booleans()))
+
+
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(parts=_FUZZ_ARGV)
+def test_main_exit_codes_fuzz(tmp_path, parts):
+    *groups, to_file = parts
+    argv = [token for group in groups for token in group]
+    if to_file:
+        argv.append(f"--output={tmp_path / 'out'}")
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            return
+    assert status in (0, 1, 2, 3), argv
 
 
 def test_float_digits_validation(capsys):
