@@ -25,11 +25,11 @@ from .distributions import (
     NormalRef,
     RectSpec,
     error_decomposition,
-    gamma_leading,
     iter_sample,
     normal_distance,
     pmf_S,
     pmf_X,
+    pmf_pair,
     sample,
     stirling_h_estimate,
     stirling_h_ratio,
@@ -69,13 +69,13 @@ __all__ = [
     "count_support",
     "enumerate_compositions",
     "error_decomposition",
-    "gamma_leading",
     "h_sequence",
     "iter_raw_rows",
     "iter_sample",
     "normal_distance",
     "pmf_S",
     "pmf_X",
+    "pmf_pair",
     "poly_coeff",
     "sample",
     "stirling_h_estimate",

@@ -42,8 +42,7 @@ from .distributions import (
     error_decomposition,
     iter_sample,
     normal_distance,
-    pmf_S,
-    pmf_X,
+    pmf_pair,
 )
 from .polycoeff import iter_raw_rows
 
@@ -227,13 +226,13 @@ def _cmd_triangle(args, parser) -> int:
                    for n, coeff in enumerate(row)))
 
 
-def _parse_support(raw: str, parser) -> list[int]:
+def _parse_int_list(raw: str, flag: str, parser) -> list[int]:
     try:
         values = [int(tok) for tok in raw.split(",") if tok.strip() != ""]
     except ValueError:
-        parser.error(f"--support must be a comma-separated integer list, got {raw!r}")
+        parser.error(f"{flag} must be a comma-separated integer list, got {raw!r}")
     if not values:
-        parser.error("--support must be non-empty")
+        parser.error(f"{flag} must be non-empty")
     return values
 
 
@@ -245,7 +244,7 @@ def _cmd_count(args, parser) -> int:
 
     try:
         if args.support is not None:
-            support = _parse_support(args.support, parser)
+            support = _parse_int_list(args.support, "--support", parser)
             result = count_support(args.n, args.k, support)
             enum_kwargs = {"support": support}
         else:
@@ -287,8 +286,7 @@ def _cmd_dist(args, parser) -> int:
     if spec.a == spec.b:
         parser.error("normal column undefined for a = b (zero variance)")
 
-    px = pmf_X(spec)
-    ps = pmf_S(spec)
+    px, ps = pmf_pair(spec)
     normal = NormalRef.for_spec(spec)
     return _write(args, ("n", "pmf_x", "pmf_s", "normal"),
                   [(n, px.float_prob(n), ps.float_prob(n), normal.cell_mass(n))
@@ -326,12 +324,7 @@ def _cmd_table1(args, parser) -> int:
 
 
 def _cmd_normality(args, parser) -> int:
-    try:
-        m_values = [int(tok) for tok in args.m.split(",") if tok.strip() != ""]
-    except ValueError:
-        parser.error(f"--m must be a comma-separated integer list, got {args.m!r}")
-    if not m_values:
-        parser.error("--m must be non-empty")
+    m_values = _parse_int_list(args.m, "--m", parser)
     if args.b <= args.a:
         parser.error("normality needs b > a (nonzero variance)")
 
@@ -434,12 +427,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if not 4 <= args.float_digits <= 17:
         parser.error(f"--float-digits must be in [4, 17], got {args.float_digits}")
+    # Exact counts print in full: no int-to-str digit limit while running.
+    set_limit = getattr(sys, "set_int_max_str_digits", None)  # Python 3.11+
+    if set_limit is not None:
+        limit = sys.get_int_max_str_digits()
+        set_limit(0)
     try:
         return args.handler(args, parser)
     except BrokenPipeError:
         # The reader closed stdout early (`| head`), which is not an error.
         _stdout_to_devnull()
         return EXIT_OK
+    finally:
+        if set_limit is not None:
+            set_limit(limit)
 
 
 if __name__ == "__main__":

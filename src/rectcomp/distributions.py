@@ -9,8 +9,9 @@ parts drawn from the interval {a, ..., b}:
 * ``pmf_S``: the sum of exactly m independent uniform draws from
   {a, ..., b}; its weights are a single triangle row.
 
-Both are kept as big-integer weight vectors plus a big-integer total, so
-every identity about them can be checked in exact rational arithmetic.
+``pmf_pair`` builds both in one walk down the triangle.  Both are kept
+as big-integer weight vectors plus a big-integer total, so every
+identity about them can be checked in exact rational arithmetic.
 X decomposes as gamma * S + e with an explicit nonnegative error term
 that shrinks roughly quadratically as the part range widens; the
 ``error_decomposition`` report carries the exact gamma and the error
@@ -23,11 +24,12 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, zip_longest
+from operator import sub
 from typing import Iterator
 
 from .compositions import Composition
-from .polycoeff import _next_row, row_sums, triangle_row
+from .polycoeff import _next_row, row_sums
 from .rng import SplitMix64
 
 
@@ -69,7 +71,7 @@ class ExactPmf:
     def __post_init__(self) -> None:
         if not self.weights:
             raise ValueError("pmf needs at least one support point")
-        if any(w < 0 for w in self.weights):
+        if min(self.weights) < 0:
             raise ValueError("weights must be nonnegative")
         if sum(self.weights) != self.total:
             raise ValueError("weights do not sum to the stated total")
@@ -171,15 +173,37 @@ class DistanceReport:
     pmf_argmax: int
 
 
+def pmf_pair(spec: RectSpec) -> tuple[ExactPmf, ExactPmf]:
+    """``(pmf_X(spec), pmf_S(spec))`` from one walk down the triangle.
+
+    With head the weights of at most m-1 parts (offset a), X's weights
+    are the weights of 1 + x**a * head times (1 + x + ... + x**l): a
+    composition is a first part followed by a shorter composition.
+    That is one sliding-window step after head, and S's weights, row
+    m, are what the step adds to head from offset m*a on.
+    """
+    a, l, m = spec.a, spec.width, spec.m
+    r = l + 1
+    head = row_sums(l, m - 1, a)
+    base = [0] * a + head
+    base[0] += 1
+    x = _next_row(base, l)
+    # At m = 1 head is [0], so for a > 0 base carries a zeros too many.
+    del x[m * (l + a) - a + 1:]
+    lo = (m - 1) * a
+    s = [wx - h for wx, h in zip_longest(x[lo:], head[lo:], fillvalue=0)]
+    total_x = m if r == 1 else (r ** (m + 1) - r) // l
+    return (ExactPmf(offset=a, weights=tuple(x), total=total_x),
+            ExactPmf(offset=m * a, weights=tuple(s), total=r ** m))
+
+
 def pmf_S(spec: RectSpec) -> ExactPmf:
     """Distribution of the sum of exactly m uniform draws from {a..b}.
 
     Support [m*a, m*b]; the weight at n is the triangle entry
-    C(m, n - m*a) of width b-a, with total (b-a+1)**m.
+    C(m, n - m*a) of width b-a, with total (b-a+1)**m.  See :func:`pmf_pair`.
     """
-    row = triangle_row(spec.width, spec.m)
-    return ExactPmf(offset=spec.m * spec.a, weights=row.entries,
-                    total=(spec.width + 1) ** spec.m)
+    return pmf_pair(spec)[1]
 
 
 def pmf_X(spec: RectSpec) -> ExactPmf:
@@ -189,23 +213,9 @@ def pmf_X(spec: RectSpec) -> ExactPmf:
     sums to n in [j*a, j*b]; the weight at n adds the shifted triangle
     entries C(j, n - j*a) over all j, and the total is the composition
     count, the geometric sum of (b-a+1)**j.  The empty composition is
-    excluded.
+    excluded.  See :func:`pmf_pair`.
     """
-    r = spec.width + 1
-    total = spec.m if r == 1 else (r ** (spec.m + 1) - r) // (r - 1)
-    weights = row_sums(spec.width, spec.m, spec.a)
-    return ExactPmf(offset=spec.a, weights=tuple(weights), total=total)
-
-
-def gamma_leading(l: int) -> Fraction:
-    """First-order approximation l/(l+1) to the exact mixing ratio.
-
-    The exact ratio exceeds this by a factor r**m/(r**m - 1), which is
-    exponentially close to 1 in m.
-    """
-    if l < 1:
-        raise ValueError(f"width l must be >= 1, got {l}")
-    return Fraction(l, l + 1)
+    return pmf_pair(spec)[0]
 
 
 def error_decomposition(spec: RectSpec) -> ErrorReport:
@@ -223,27 +233,19 @@ def error_decomposition(spec: RectSpec) -> ErrorReport:
     if spec.a != 0:
         raise ValueError("decomposition requires lower bound a = 0")
     l = spec.b
-    m = spec.m
     if l < 1:
         raise ValueError("decomposition requires b >= 1 (zero-width pmf is a point mass)")
-    r = l + 1
-    rm = r ** m
-    alpha = Fraction(l, (rm - 1) * r)
+    px, ps = pmf_pair(spec)
+    tx, rm = px.total, ps.total
+    e_den = (rm - 1) * (l + 1)
+    alpha = Fraction(l, e_den)
     gamma = alpha * rm
 
-    # head sums rows 1..m-1.  Rows 1..m are P * (1 + head), one
-    # sliding-window step, and row m is what that step adds to head.
-    head = row_sums(l, m - 1)
-    x_weights = _next_row([head[0] + 1] + head[1:], l)
-    head += [0] * l
-    last = [wx - h for wx, h in zip(x_weights, head)]
-
-    tx = (r ** (m + 1) - r) // l
-    # e[n] = alpha * head[n]; floats via one correctly rounded division each.
-    e_den = (rm - 1) * r
-    e_values = tuple((l * h) / e_den for h in head)
+    # head = X - S sums rows 1..m-1, and e[n] = alpha * head[n]; floats
+    # via one correctly rounded division each.
+    e_values = tuple((l * h) / e_den for h in map(sub, px.weights, ps.weights))
     e_max = max(e_values)
-    diff_num = max(abs(wx * rm - ws * tx) for wx, ws in zip(x_weights, last))
+    diff_num = max(abs(wx * rm - ws * tx) for wx, ws in zip(px.weights, ps.weights))
     max_abs_diff = diff_num / (tx * rm)
     return ErrorReport(gamma=gamma, alpha=alpha, e_values=e_values,
                        e_max=e_max, max_abs_diff=max_abs_diff)

@@ -12,6 +12,7 @@ normal-style approximation to the central entry and its ratio.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from operator import add
 from typing import Iterator
@@ -67,9 +68,9 @@ def _next_row(prev: list[int], l: int) -> list[int]:
 def iter_raw_rows(l: int, k_max: int) -> Iterator[list[int]]:
     """Yield rows 0..k_max as plain lists of ints.
 
-    For callers whose output is every row; sums over rows go through
-    :func:`row_sums`.  The yielded lists are fresh objects; mutating
-    them does not affect the iteration.
+    This is the one walk down the triangle: every other row builder in
+    the package consumes it.  The yielded lists are fresh objects;
+    mutating them does not affect the iteration.
     """
     _check_params(l, k_max)
     row = [1]
@@ -88,13 +89,12 @@ def row_sums(l: int, m: int, shift: int = 0) -> list[int]:
     of compositions with at most m parts in {a, ..., a+l}.  Each row is
     built once, from the one before, and added in place.
     """
-    _check_params(l, m)
+    rows = iter_raw_rows(l, m)
+    next(rows)  # row 0 is not summed; this also checks l and m
     if shift < 0:
         raise ValueError(f"shift must be >= 0, got {shift}")
     acc = [0] * (m * (l + shift) - shift + 1 if m else 1)
-    row = [1]
-    for j in range(m):
-        row = _next_row(row, l)
+    for j, row in enumerate(rows):
         span = slice(j * shift, j * shift + len(row))
         acc[span] = map(add, acc[span], row)
     return acc
@@ -102,10 +102,7 @@ def row_sums(l: int, m: int, shift: int = 0) -> list[int]:
 
 def triangle_row(l: int, k: int) -> TriangleRow:
     """Build row ``k`` of the (l+1)-nomial triangle."""
-    _check_params(l, k)
-    row = [1]
-    for _ in range(k):
-        row = _next_row(row, l)
+    row = deque(iter_raw_rows(l, k), maxlen=1).pop()
     return TriangleRow(l=l, k=k, entries=tuple(row))
 
 
@@ -123,7 +120,6 @@ def poly_coeff(l: int, k: int, n: int) -> int:
 
 def central_coeff(l: int, k: int) -> int:
     """The row maximum: entry floor(k*l/2) of row k."""
-    _check_params(l, k)
     return triangle_row(l, k).entries[(k * l) // 2]
 
 

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import rectcomp
-from rectcomp import NormalRef, RectSpec
+from rectcomp import NormalRef, RectSpec, distributions, polycoeff
 from rectcomp.cli import (
     EXIT_CHECK_FAILED,
     EXIT_GUARD,
@@ -110,6 +110,26 @@ def test_count_large_prints_decimal_string(capsys):
     assert text.isdigit() and len(text) > 20
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_count_prints_past_the_int_digit_limit(capsys, fmt):
+    # Python 3.11+ refuses str() of an int above 4300 digits by default;
+    # this count has 5431.
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    limit = get_limit()
+    status, out, err = run_cli(capsys, "count", "--n", "20000", "--k", "5000",
+                               "--b", "inf", "--format", fmt)
+    assert status == EXIT_OK, err
+    assert get_limit() == limit  # main restores the caller's limit
+    set_limit(0)
+    try:
+        expected = str(math.comb(24999, 4999))
+    finally:
+        set_limit(limit)
+    text = out.strip() if fmt == "csv" else json.loads(out)[0]["count"]
+    assert text == expected
+
+
 def test_count_verify_agreement(capsys):
     status, out, _ = run_cli(capsys, "count", "--n", "6", "--k", "3",
                              "--support", "1,2,3", "--verify")
@@ -178,6 +198,23 @@ def test_dist_sums_to_one(capsys):
             assert r["normal"] == repr(normal.cell_mass(n))
             if n < m * a:
                 assert float(r["pmf_s"]) == 0.0
+
+
+def test_dist_walks_the_kernel_once(capsys, monkeypatch):
+    steps = 0
+    next_row = polycoeff._next_row
+
+    def counting(prev, l):
+        nonlocal steps
+        steps += 1
+        return next_row(prev, l)
+
+    monkeypatch.setattr(polycoeff, "_next_row", counting)
+    monkeypatch.setattr(distributions, "_next_row", counting)
+    m = 12
+    status, _, _ = run_cli(capsys, "dist", "--a", "2", "--b", "7", "--m", str(m))
+    assert status == EXIT_OK
+    assert 0 < steps <= m
 
 
 def test_dist_peak_location(capsys):
