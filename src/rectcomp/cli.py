@@ -53,6 +53,9 @@ EXIT_GUARD = 3
 
 GUARD_ENV_VAR = "RECTCOMP_ENUM_GUARD"
 
+#: Widest part range whose values ``sample`` turns into text up front.
+_PART_TEXT_CAP = 4096
+
 # ---------------------------------------------------------------------------
 # Reference grid for the table1 command.
 #
@@ -354,8 +357,12 @@ def _cmd_sample(args, parser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     draws = iter_sample(spec, args.count, args.seed)
+    # Parts repeat, so each value is turned into text once per run (up to
+    # a range of _PART_TEXT_CAP values; wider ranges convert every part).
+    text = (str if spec.width >= _PART_TEXT_CAP
+            else {v: str(v) for v in range(spec.a, spec.b + 1)}.__getitem__)
     return _write(args, ("index", "sum", "parts"),
-                  ((i, sum(parts), " ".join(map(str, parts)))
+                  ((i, sum(parts), " ".join(map(text, parts)))
                    for i, parts in enumerate(draws)))
 
 

@@ -24,13 +24,13 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, zip_longest
+from itertools import accumulate, product, zip_longest
 from operator import sub
 from typing import Iterator
 
 from .compositions import Composition
 from .polycoeff import _next_row, row_sums
-from .rng import SplitMix64
+from .rng import below_stream
 
 
 @dataclass(frozen=True)
@@ -92,17 +92,6 @@ class ExactPmf:
     def float_prob(self, n: int) -> float:
         # int/int true division is correctly rounded even for big ints.
         return self.weight(n) / self.total
-
-    def float_probs(self) -> list[float]:
-        return [w / self.total for w in self.weights]
-
-    def cdf_float(self, n: int) -> float:
-        i = n - self.offset
-        if i < 0:
-            return 0.0
-        if i >= len(self.weights):
-            return 1.0
-        return sum(self.weights[: i + 1]) / self.total
 
     def argmax(self) -> int:
         best = max(range(len(self.weights)), key=lambda i: self.weights[i])
@@ -173,14 +162,12 @@ class DistanceReport:
     pmf_argmax: int
 
 
-def pmf_pair(spec: RectSpec) -> tuple[ExactPmf, ExactPmf]:
-    """``(pmf_X(spec), pmf_S(spec))`` from one walk down the triangle.
+def _pmf_x_and_head(spec: RectSpec) -> tuple[ExactPmf, list[int]]:
+    """``pmf_X(spec)`` and head, the weights of at most m-1 parts (offset a).
 
-    With head the weights of at most m-1 parts (offset a), X's weights
-    are the weights of 1 + x**a * head times (1 + x + ... + x**l): a
-    composition is a first part followed by a shorter composition.
-    That is one sliding-window step after head, and S's weights, row
-    m, are what the step adds to head from offset m*a on.
+    X's weights are the weights of 1 + x**a * head times
+    (1 + x + ... + x**l): a composition is a first part followed by a
+    shorter composition.  That is one sliding-window step after head.
     """
     a, l, m = spec.a, spec.width, spec.m
     r = l + 1
@@ -190,11 +177,21 @@ def pmf_pair(spec: RectSpec) -> tuple[ExactPmf, ExactPmf]:
     x = _next_row(base, l)
     # At m = 1 head is [0], so for a > 0 base carries a zeros too many.
     del x[m * (l + a) - a + 1:]
-    lo = (m - 1) * a
-    s = [wx - h for wx, h in zip_longest(x[lo:], head[lo:], fillvalue=0)]
-    total_x = m if r == 1 else (r ** (m + 1) - r) // l
-    return (ExactPmf(offset=a, weights=tuple(x), total=total_x),
-            ExactPmf(offset=m * a, weights=tuple(s), total=r ** m))
+    total = m if r == 1 else (r ** (m + 1) - r) // l
+    return ExactPmf(offset=a, weights=tuple(x), total=total), head
+
+
+def pmf_pair(spec: RectSpec) -> tuple[ExactPmf, ExactPmf]:
+    """``(pmf_X(spec), pmf_S(spec))`` from one walk down the triangle.
+
+    S's weights, row m, are what the step from head to X adds to head
+    from offset m*a on (see ``_pmf_x_and_head``).
+    """
+    px, head = _pmf_x_and_head(spec)
+    lo = (spec.m - 1) * spec.a
+    s = [wx - h for wx, h in zip_longest(px.weights[lo:], head[lo:], fillvalue=0)]
+    return px, ExactPmf(offset=spec.m * spec.a, weights=tuple(s),
+                        total=(spec.width + 1) ** spec.m)
 
 
 def pmf_S(spec: RectSpec) -> ExactPmf:
@@ -213,9 +210,10 @@ def pmf_X(spec: RectSpec) -> ExactPmf:
     sums to n in [j*a, j*b]; the weight at n adds the shifted triangle
     entries C(j, n - j*a) over all j, and the total is the composition
     count, the geometric sum of (b-a+1)**j.  The empty composition is
-    excluded.  See :func:`pmf_pair`.
+    excluded.  It is built from one walk down the triangle, as in
+    :func:`pmf_pair`, without S.
     """
-    return pmf_pair(spec)[0]
+    return _pmf_x_and_head(spec)[0]
 
 
 def error_decomposition(spec: RectSpec) -> ErrorReport:
@@ -319,7 +317,48 @@ def stirling_h_ratio(l: int, m: int) -> float:
     return math.exp(math.log(row_sums(l, m)[m * l // 2]) - log_est)
 
 
-def _unrank(rank: int, a: int, r: int, cumulative: list[int]) -> Composition:
+#: Largest number of tuples in one table of ``_part_chunks``.
+_CHUNK_ENTRIES = 4096
+
+
+class _OnePart:
+    """The one-part chunk table for a part range {a, ..., a+r-1}."""
+
+    __slots__ = ("a", "r")
+
+    def __init__(self, a: int, r: int):
+        self.a, self.r = a, r
+
+    def __getitem__(self, c: int) -> tuple[int]:
+        return (self.a + c,)
+
+    def __len__(self) -> int:
+        return self.r
+
+
+def _part_chunks(a: int, r: int, m: int, count: int) -> list:
+    """Lookup tables for ``_unrank`` over ``count`` draws: ``chunks[i][c]`` is
+    the (i+1)-part tuple whose parts, less a, are the base-r digits of c,
+    least significant first.
+
+    The longest chunk, d parts, is the longest with r**d at most the
+    limit (r = 1 counts as 2) and no longer than m.  The limit is
+    ``_CHUNK_ENTRIES``, or the count * m parts the draws can have if
+    that is fewer, so a short sample pays no large set-up.  A part range
+    wider than the limit gets no table: ``_OnePart`` makes each one-part
+    tuple on demand.
+    """
+    limit = min(_CHUNK_ENTRIES, count * m)
+    if r > limit:
+        return [_OnePart(a, r)]
+    d = 1
+    while d < m and max(r, 2) ** (d + 1) <= limit:
+        d += 1
+    values = range(a, a + r)
+    return [tuple(p[::-1] for p in product(values, repeat=k)) for k in range(1, d + 1)]
+
+
+def _unrank(rank: int, cumulative: list[int], chunks: list) -> Composition:
     """The composition of rank ``rank`` in [0, cumulative[-1]).
 
     ``cumulative[i]`` counts the compositions with at most i parts,
@@ -328,15 +367,20 @@ def _unrank(rank: int, a: int, r: int, cumulative: list[int]) -> Composition:
     cumulative counts at or below the rank, and the rank within the
     j-part block, in [0, r**j), is read as j base-r digits, least
     significant first, each shifted up by a.  Every rank maps to a
-    different composition and every composition has a rank.
+    different composition and every composition has a rank.  The digits
+    are read d at a time from ``chunks`` (see ``_part_chunks``), which
+    takes ceil(j/d) - 1 big-integer divmods.
     """
     j = bisect_right(cumulative, rank)
     rank -= cumulative[j - 1]
-    parts = []
-    for _ in range(j):
-        rank, digit = divmod(rank, r)
-        parts.append(a + digit)
-    return tuple(parts)
+    full = chunks[-1]
+    base = len(full)
+    whole, rest = divmod(j - 1, len(chunks))
+    parts = ()
+    for _ in range(whole):
+        rank, c = divmod(rank, base)
+        parts += full[c]
+    return parts + chunks[rest][rank]
 
 
 def iter_sample(spec: RectSpec, count: int, seed: int) -> Iterator[Composition]:
@@ -344,21 +388,22 @@ def iter_sample(spec: RectSpec, count: int, seed: int) -> Iterator[Composition]:
 
     Each composition costs one ``below(total)`` draw from a seeded
     SplitMix64 stream, where total is the number of compositions; the
-    draw is a rank, turned into its composition by a bijection (see
-    ``_unrank``), so the draws are exactly uniform up to ``below``'s
-    2**-128 bias.  Identical seeds give identical draws on any platform.
-    A bad ``count`` raises here, before the first draw.  The stream lives
-    and dies inside the returned iterator; for parallel sampling give
-    each worker its own seed.
+    draws are computed in blocks by ``below_stream``, with the values
+    that successive ``below`` calls would return.  A draw is a rank,
+    turned into its composition by a bijection (see ``_unrank``), so the
+    draws are exactly uniform up to ``below``'s 2**-128 bias.  Identical
+    seeds give identical draws on any platform.  A bad ``count`` raises
+    here, before the first draw.  The stream lives and dies inside the
+    returned iterator; for parallel sampling give each worker its own
+    seed.
     """
     if count < 0:
         raise ValueError(f"sample count must be >= 0, got {count}")
-    a, r = spec.a, spec.width + 1
-    cumulative = list(accumulate((r ** j for j in range(1, spec.m + 1)),
-                                 initial=0))
-    total = cumulative[-1]
-    gen = SplitMix64(seed)
-    return (_unrank(gen.below(total), a, r, cumulative) for _ in range(count))
+    a, r, m = spec.a, spec.width + 1, spec.m
+    cumulative = list(accumulate((r ** j for j in range(1, m + 1)), initial=0))
+    chunks = _part_chunks(a, r, m, count)
+    return (_unrank(rank, cumulative, chunks)
+            for rank in below_stream(seed, cumulative[-1], count))
 
 
 def sample(spec: RectSpec, count: int, seed: int) -> list[Composition]:

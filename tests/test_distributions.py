@@ -16,6 +16,7 @@ from rectcomp.distributions import (
     ExactPmf,
     NormalRef,
     RectSpec,
+    _part_chunks,
     _unrank,
     error_decomposition,
     iter_sample,
@@ -28,7 +29,7 @@ from rectcomp.distributions import (
     stirling_h_ratio,
 )
 from rectcomp.polycoeff import triangle_row
-from rectcomp.rng import SplitMix64
+from rectcomp.rng import _BLOCK_WORDS, SplitMix64, below_stream
 
 
 # --- ExactPmf ---------------------------------------------------------------
@@ -50,9 +51,6 @@ def test_exact_pmf_accessors():
     assert pmf.prob(5) == 0
     assert pmf.weight(1) == 0
     assert pmf.float_prob(2) == 0.25
-    assert pmf.cdf_float(1) == 0.0
-    assert pmf.cdf_float(3) == 0.75
-    assert pmf.cdf_float(9) == 1.0
     assert pmf.argmax() == 3
     assert pmf.mean() == 3
     assert pmf.variance() == Fraction(1, 2)
@@ -176,13 +174,6 @@ def test_pmf_pair_matches_naive_powers(a, l, m):
     assert ps.offset == m * a
     assert list(ps.weights) == poly_power_coeffs(l, m)
     assert ps.total == (l + 1) ** m
-
-
-def test_pmf_float_probs_sum_to_one():
-    for spec in (RectSpec(0, 2, 5), RectSpec(0, 6, 20), RectSpec(1, 4, 7),
-                 RectSpec(0, 64, 19)):
-        for pmf in (pmf_X(spec), pmf_S(spec)):
-            assert math.fsum(pmf.float_probs()) == pytest.approx(1.0, abs=1e-12)
 
 
 # --- decomposition ----------------------------------------------------------
@@ -363,6 +354,20 @@ def test_sample_respects_bounds():
         assert all(1 <= p <= 4 for p in parts)
 
 
+def test_sample_readme_example_is_pinned():
+    assert sample(RectSpec(0, 2, 5), 3, seed=42) == [
+        (2, 1, 2, 1, 2), (2, 1, 1, 0, 0), (0, 1, 1, 0, 0)]
+
+
+def test_sample_prefix_does_not_depend_on_count():
+    # A short sample reads its ranks with smaller tables; the draws stay
+    # the first draws of a longer sample with the same seed.
+    for spec in (RectSpec(0, 1, 20), RectSpec(3, 9, 12), RectSpec(0, 64, 20)):
+        draws = sample(spec, 300, seed=4)
+        for n in (1, 2, 7):
+            assert sample(spec, n, seed=4) == draws[:n]
+
+
 def test_sample_matches_pmf_x():
     spec = RectSpec(0, 2, 5)
     px = pmf_X(spec)
@@ -378,25 +383,39 @@ def test_unrank_is_a_bijection_onto_the_family(a):
         r = width + 1
         for m in range(1, 5):
             cumulative = list(accumulate((r ** j for j in range(1, m + 1)), initial=0))
-            ranked = [_unrank(u, a, r, cumulative) for u in range(cumulative[-1])]
             family = rectangle_family(a, a + width, m)
-            assert len(ranked) == len(family) == len(set(family))
-            assert sorted(ranked) == sorted(family), (a, width, m)
+            # The tables read up to m digits at once; shorter prefixes of
+            # them read the rank in several chunks, as on a wider range.
+            chunks = _part_chunks(a, r, m, count=cumulative[-1])
+            for d in range(1, len(chunks) + 1):
+                ranked = [_unrank(u, cumulative, chunks[:d]) for u in range(cumulative[-1])]
+                assert len(ranked) == len(family) == len(set(family))
+                assert sorted(ranked) == sorted(family), (a, width, m, d)
 
 
-def test_sample_draws_once_per_composition(monkeypatch):
-    bounds = []
-    below = SplitMix64.below
+def test_unrank_reads_wide_part_ranges_without_a_table():
+    r = 5000
+    cumulative = [0, r, r + r * r]
+    chunks = _part_chunks(7, r, 2, count=10 ** 6)
+    assert [_unrank(u, cumulative, chunks) for u in (0, r - 1, r, r + 1, r + r * r - 1)] == [
+        (7,), (r + 6,), (7, 7), (8, 7), (r + 6, r + 6)]
 
-    def counting_below(self, bound):
-        bounds.append(bound)
-        return below(self, bound)
 
-    monkeypatch.setattr(SplitMix64, "below", counting_below)
-    for spec in (RectSpec(0, 2, 5), RectSpec(3, 3, 4), RectSpec(0, 64, 20)):
-        bounds.clear()
-        assert len(sample(spec, 37, seed=3)) == 37
-        assert bounds == [pmf_X(spec).total] * 37
+@pytest.mark.parametrize("bound", [1, 2, 3, 2 ** 64 - 1, 2 ** 64, 2 ** 64 + 1,
+                                   pytest.param(65 ** 40, id="65**40"),
+                                   pytest.param(2 ** (64 * 1100), id="2**70400")])
+def test_below_stream_matches_below_calls(bound):
+    # The sampler takes its draws from below_stream: one below(total)
+    # value per composition.  Every count here spans more than two blocks;
+    # the last bound needs more words per draw than a block holds.
+    words_per_draw = -(-(bound.bit_length() + 128) // 64)
+    count = 2 * _BLOCK_WORDS // words_per_draw + 7
+    for seed in (0, 3, 2 ** 64 + 5):
+        gen = SplitMix64(seed)
+        assert list(below_stream(seed, bound, count)) == [gen.below(bound) for _ in range(count)]
+    assert list(below_stream(1, bound, 0)) == []
+    with pytest.raises(ValueError):
+        next(below_stream(1, 0, 1))
 
 
 def test_iter_sample_is_lazy():
